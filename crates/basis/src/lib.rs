@@ -50,8 +50,9 @@ pub mod trace;
 pub use fs::FsState;
 pub use image::{build_image, ImageError};
 pub use machine::{
-    classify_exit, extract_streams, run_to_halt, run_to_halt_observed, run_to_halt_traced,
-    run_to_halt_with, run_with_oracle, run_with_oracle_traced, ExitStatus, MachineResult,
+    classify_exit, classify_exit_parts, extract_streams, run_to_halt, run_to_halt_observed,
+    run_to_halt_traced, run_to_halt_with, run_with_oracle, run_with_oracle_traced, ExitStatus,
+    MachineResult,
 };
 pub use oracle::{call_ffi, BasisHost, FfiOutcome};
 pub use trace::{call_ffi_traced, fd_summary, SyscallEvent, SyscallTrace};

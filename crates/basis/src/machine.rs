@@ -91,23 +91,35 @@ pub fn extract_streams(events: &[IoEvent]) -> (Vec<u8>, Vec<u8>) {
 }
 
 /// Exit classification shared by every ISA-engine runner — the plain
-/// and observed `run_to_halt` variants here, the jet path in
-/// `silver-stack`, and snapshot resume. `fuel_left` says whether the
-/// run stopped with budget remaining; a non-halted state with no fuel
-/// left is [`ExitStatus::OutOfFuel`]. Keeping this in one place is what
-/// makes a resumed run classify exactly like an uninterrupted one.
+/// and observed `run_to_halt` variants here, snapshot resume, and (via
+/// [`classify_exit_parts`]) the jet engine and the hardware levels.
+/// `fuel_left` says whether the run stopped with budget remaining; a
+/// non-halted state with no fuel left is [`ExitStatus::OutOfFuel`].
+/// Keeping this in one place is what makes a resumed run classify
+/// exactly like an uninterrupted one.
 #[must_use]
 pub fn classify_exit(state: &State, layout: &TargetLayout, fuel_left: bool) -> ExitStatus {
-    classify(state, layout, fuel_left)
+    let code = state.mem.read_word(layout.exit_code_addr);
+    classify_exit_parts(state.is_halted(), state.pc, code, layout, fuel_left)
 }
 
-fn classify(state: &State, layout: &TargetLayout, fuel_left: bool) -> ExitStatus {
-    if !fuel_left && !state.is_halted() {
-        return ExitStatus::OutOfFuel;
-    }
-    let code = state.mem.read_word(layout.exit_code_addr);
-    if state.pc == layout.halt_addr && code != EXIT_UNSET {
-        ExitStatus::Exited(code as u8)
+/// [`classify_exit`] over the observables it reads, for machines that
+/// are not an [`ag32::State`]: `halted` is the halt probe
+/// ([`State::is_halted`]), `exit_code` the word at
+/// `layout.exit_code_addr`. A halt at `layout.halt_addr` with the
+/// [`EXIT_UNSET`] sentinel still in place is [`ExitStatus::Wedged`].
+#[must_use]
+pub fn classify_exit_parts(
+    halted: bool,
+    pc: u32,
+    exit_code: u32,
+    layout: &TargetLayout,
+    fuel_left: bool,
+) -> ExitStatus {
+    if !fuel_left && !halted {
+        ExitStatus::OutOfFuel
+    } else if pc == layout.halt_addr && exit_code != EXIT_UNSET {
+        ExitStatus::Exited(exit_code as u8)
     } else {
         ExitStatus::Wedged
     }
@@ -130,7 +142,7 @@ pub fn run_to_halt_with<C: ag32::Coverage>(
     cov: &mut C,
 ) -> MachineResult {
     let instructions = state.run_with(fuel, cov);
-    let exit = classify(&state, layout, instructions < fuel);
+    let exit = classify_exit(&state, layout, instructions < fuel);
     let (stdout, stderr) = extract_streams(&state.io_events);
     MachineResult { exit, stdout, stderr, instructions, state }
 }
@@ -148,7 +160,7 @@ pub fn run_to_halt_observed<C: ag32::Coverage, T: ag32::Tracer>(
     tracer: &mut T,
 ) -> MachineResult {
     let instructions = state.run_traced(fuel, cov, tracer);
-    let exit = classify(&state, layout, instructions < fuel);
+    let exit = classify_exit(&state, layout, instructions < fuel);
     let (stdout, stderr) = extract_streams(&state.io_events);
     MachineResult { exit, stdout, stderr, instructions, state }
 }
@@ -226,7 +238,7 @@ pub fn run_to_halt_traced(
         }
         ev.fds = device_summary(&state, layout);
     }
-    let exit = classify(&state, layout, instructions < fuel);
+    let exit = classify_exit(&state, layout, instructions < fuel);
     let (stdout, stderr) = extract_streams(&state.io_events);
     MachineResult { exit, stdout, stderr, instructions, state }
 }
@@ -267,10 +279,10 @@ pub fn run_with_oracle_traced(
     let mut instructions = 0u64;
     let exit = loop {
         if instructions >= fuel {
-            break classify(&state, layout, false);
+            break classify_exit(&state, layout, false);
         }
         if state.is_halted() {
-            break classify(&state, layout, true);
+            break classify_exit(&state, layout, true);
         }
         if let Some((_, name)) = entries.iter().find(|(a, _)| *a == state.pc) {
             // The interference-oracle step: read the call's arguments

@@ -8,7 +8,10 @@ use std::path::PathBuf;
 use std::path::Path;
 
 use ag32::State;
-use basis::{build_image, classify_exit, extract_streams, run_to_halt, ExitStatus, ImageError};
+use basis::{
+    build_image, classify_exit, classify_exit_parts, extract_streams, run_to_halt, ExitStatus,
+    ImageError,
+};
 use cakeml::{CompileError, CompiledProgram, CompilerConfig, TargetLayout};
 use obs::CycleProfiler;
 use silver::env::{Latency, MemEnvConfig};
@@ -803,23 +806,15 @@ impl Stack {
         Ok(self.classify_jet(&j, done < fuel))
     }
 
-    /// Classifies the jet engine's end state. Reads straight off the
-    /// engine: everything the verdict needs (halt probe, exit-code
-    /// word, PC, streams, stats) is readable without the full
-    /// `into_state` memory write-back, which would cost more than the
-    /// run itself on short workloads.
+    /// Classifies the jet engine's end state with
+    /// [`basis::classify_exit_parts`]. Reads straight off the engine:
+    /// everything the verdict needs (halt probe, exit-code word, PC,
+    /// streams, stats) is readable without building a reference
+    /// `State`, so no memory write-back happens at all.
     fn classify_jet(&self, j: &jet::Jet, fuel_left: bool) -> StackResult {
         let (stdout, stderr) = extract_streams(&j.io_events);
-        let exit = if !fuel_left && !j.is_halted() {
-            ExitStatus::OutOfFuel
-        } else {
-            let code = j.mem().read_word(self.layout.exit_code_addr);
-            if j.pc == self.layout.halt_addr && code != basis::image::EXIT_UNSET {
-                ExitStatus::Exited(code as u8)
-            } else {
-                ExitStatus::Wedged
-            }
-        };
+        let code = j.mem().read_word(self.layout.exit_code_addr);
+        let exit = classify_exit_parts(j.is_halted(), j.pc, code, &self.layout, fuel_left);
         StackResult {
             exit,
             stdout,
@@ -840,7 +835,10 @@ impl Stack {
         let instructions = rtl_state
             .get_scalar("retired")
             .map_err(|e| StackError::Hardware(LockstepError::Rtl(e)))?;
-        let exit = classify_hw(&env.mem, &self.layout, rtl_state)?;
+        let pc = rtl_state
+            .get_scalar("pc")
+            .map_err(|e| StackError::Hardware(LockstepError::Rtl(e)))? as u32;
+        let exit = classify_hw(pc, env.mem.read_word(self.layout.exit_code_addr), &self.layout);
         Ok(StackResult { exit, stdout, stderr, instructions, cycles: Some(cycles), stats: None })
     }
 
@@ -853,11 +851,7 @@ impl Stack {
         let (stdout, stderr) = extract_streams(&env.io_events);
         let code = env.mem.read_word(self.layout.exit_code_addr);
         let pc = fin.get("pc").map(|v| v.as_u64() as u32).unwrap_or(0);
-        let exit = if pc == self.layout.halt_addr && code != basis::image::EXIT_UNSET {
-            ExitStatus::Exited(code as u8)
-        } else {
-            ExitStatus::Wedged
-        };
+        let exit = classify_hw(pc, code, &self.layout);
         StackResult { exit, stdout, stderr, instructions: 0, cycles: Some(cycles), stats: None }
     }
 }
@@ -873,18 +867,8 @@ fn isa_result(r: basis::MachineResult) -> StackResult {
     }
 }
 
-fn classify_hw(
-    mem: &ag32::Memory,
-    layout: &TargetLayout,
-    rtl_state: &rtl::RtlState,
-) -> Result<ExitStatus, StackError> {
-    let code = mem.read_word(layout.exit_code_addr);
-    let pc = rtl_state
-        .get_scalar("pc")
-        .map_err(|e| StackError::Hardware(LockstepError::Rtl(e)))? as u32;
-    Ok(if pc == layout.halt_addr && code != basis::image::EXIT_UNSET {
-        ExitStatus::Exited(code as u8)
-    } else {
-        ExitStatus::Wedged
-    })
+/// Hardware runs stop on a cycle budget, not fuel, so only the halt
+/// verdict applies: `Exited` or `Wedged`.
+fn classify_hw(pc: u32, exit_code: u32, layout: &TargetLayout) -> ExitStatus {
+    classify_exit_parts(true, pc, exit_code, layout, true)
 }

@@ -13,6 +13,15 @@
 //! the reference memory, which keeps the semantics identical by
 //! construction.
 //!
+//! Each mirrored page carries a *dirty* flag, set by every store into
+//! it. A clean mirrored page still holds what the sparse clone holds
+//! for it (its construction-time contents, or nothing), so the
+//! write-back in [`JetMemory::to_memory`] — what every checkpoint
+//! capture pays — installs only the dirty pages over that clone and
+//! costs in proportion to the pages a run has stored to, not to the
+//! mirror span (which reaches from the lowest resident page to the
+//! code, ≈52 MiB for a real image).
+//!
 //! Self-modifying-code support lives here too: pages of the mirror that
 //! cached blocks were decoded from are flagged [`code`](JetMemory::flag_code_pages),
 //! and every store into a flagged page bumps that page's generation
@@ -31,12 +40,17 @@ const PAGE_SIZE: usize = Memory::PAGE_SIZE;
 const PAGE_SHIFT: u32 = Memory::PAGE_SHIFT;
 
 /// The hybrid flat/sparse memory used by the [`Jet`](crate::Jet) engine.
+///
+/// Invariant: a mirrored page whose `dirty` flag is clear has the same
+/// contents in `flat` and in `outside`, so the write-back can skip it.
 #[derive(Clone)]
 pub struct JetMemory {
     /// Byte address of the first mirrored byte (page-aligned).
     flat_base: u32,
     /// The mirror; length is a multiple of the page size.
     flat: Vec<u8>,
+    /// Per mirrored page: stored to since construction.
+    dirty: Vec<bool>,
     /// Per mirrored page: does any cached block decode from it?
     code_page: Vec<bool>,
     /// Per mirrored page: generation, bumped on each store into a
@@ -68,13 +82,14 @@ impl JetMemory {
             let rel = (id as u64) - u64::from(flat_base >> PAGE_SHIFT);
             if (rel as usize) < n_pages {
                 let off = rel as usize * PAGE_SIZE;
-                let bytes = mem.read_bytes(id << PAGE_SHIFT, PAGE_SIZE as u32);
-                flat[off..off + PAGE_SIZE].copy_from_slice(&bytes);
+                let page = mem.page(id).expect("resident page");
+                flat[off..off + PAGE_SIZE].copy_from_slice(page);
             }
         }
         JetMemory {
             flat_base,
             flat,
+            dirty: vec![false; n_pages],
             code_page: vec![false; n_pages],
             page_gen: vec![0; n_pages],
             code_write_tick: 0,
@@ -122,9 +137,13 @@ impl JetMemory {
         self.code_write_tick
     }
 
+    /// Store-path bookkeeping for mirrored byte offset `rel`: marks the
+    /// page dirty and, when it holds decoded code, bumps its generation
+    /// and the write tick.
     #[inline]
-    fn note_code_write(&mut self, rel: usize) {
+    fn note_write(&mut self, rel: usize) {
         let p = rel >> PAGE_SHIFT;
+        self.dirty[p] = true;
         if self.code_page[p] {
             self.page_gen[p] = self.page_gen[p].wrapping_add(1);
             self.code_write_tick += 1;
@@ -150,7 +169,7 @@ impl JetMemory {
         let rel = addr.wrapping_sub(self.flat_base) as usize;
         if rel < self.flat.len() {
             self.flat[rel] = value;
-            self.note_code_write(rel);
+            self.note_write(rel);
         } else {
             self.outside.write_byte(addr, value);
         }
@@ -181,13 +200,13 @@ impl JetMemory {
         let rel = addr.wrapping_sub(self.flat_base) as usize;
         if rel < self.flat.len() && self.flat.len() - rel >= 4 {
             self.flat[rel..rel + 4].copy_from_slice(&value.to_le_bytes());
-            self.note_code_write(rel);
+            self.note_write(rel);
             // A word is 4 bytes inside one 4 KiB page only when aligned;
             // the engine always aligns word accesses, but a misaligned
             // store could touch the next page too.
             let last = rel + 3;
             if last >> PAGE_SHIFT != rel >> PAGE_SHIFT {
-                self.note_code_write(last);
+                self.note_write(last);
             }
             return;
         }
@@ -204,21 +223,17 @@ impl JetMemory {
     }
 
     /// Reconstructs a reference [`Memory`] with the mirror's contents
-    /// written back — the final-state view the shadow checker and the
-    /// engine's [`to_state`](crate::Jet::to_state) compare against.
+    /// written back — the final-state view the shadow checker, the
+    /// engine's [`to_state`](crate::Jet::to_state) and checkpoint capture
+    /// use. Installs one whole page per dirty mirrored page over the
+    /// sparse clone, which already holds every clean one.
     #[must_use]
     pub fn to_memory(&self) -> Memory {
         let mut out = self.outside.clone();
-        let resident: std::collections::HashSet<u32> =
-            self.outside.resident_page_ids().into_iter().collect();
-        for p in 0..self.code_page.len() {
-            let off = p * PAGE_SIZE;
-            let bytes = &self.flat[off..off + PAGE_SIZE];
-            let id = (self.flat_base >> PAGE_SHIFT) + p as u32;
-            // Skip pages that are all-zero on both sides: reference
-            // memory identifies zero pages with absent ones.
-            if resident.contains(&id) || bytes.iter().any(|&b| b != 0) {
-                out.write_bytes(id << PAGE_SHIFT, bytes);
+        let base = self.flat_base >> PAGE_SHIFT;
+        for (p, page) in self.flat.chunks_exact(PAGE_SIZE).enumerate() {
+            if self.dirty[p] {
+                out.write_page(base + p as u32, page.try_into().expect("whole page"));
             }
         }
         out

@@ -7,11 +7,12 @@
 //! Semantics mirror `silver_stack::Stack` exactly: fuel is total
 //! retires from boot, a resume runs `fuel − snapshot.retired()` more,
 //! classification is `basis::classify_exit` on the reference engine and
-//! the same halt-probe on jet, so a migrated job is byte-identical to
-//! an uninterrupted one (`tests/crash_resume.rs` asserts this).
+//! `basis::classify_exit_parts` on jet, so a migrated job is
+//! byte-identical to an uninterrupted one (`tests/crash_resume.rs`
+//! asserts this).
 
-use ag32::State;
-use basis::{classify_exit, extract_streams, ExitStatus};
+use ag32::{IoEvent, State};
+use basis::{classify_exit, classify_exit_parts, extract_streams, ExitStatus};
 use cakeml::TargetLayout;
 use jet::Jet;
 use silver::snapshot::Snapshot;
@@ -45,17 +46,20 @@ pub(crate) struct SliceEnv<'a> {
     pub on_slice: &'a dyn Fn(u64, u64),
 }
 
-fn outcome(
-    status: JobStatus,
-    stdout: Vec<u8>,
-    stderr: Vec<u8>,
-    instructions: u64,
-    engine: ServeEngine,
-) -> JobOutcome {
-    JobOutcome {
+/// A finished slice loop: the exit verdict, the streams recovered from
+/// the I/O events, and the retire count.
+fn done(exit: ExitStatus, events: &[IoEvent], instructions: u64, engine: ServeEngine) -> ExecEnd {
+    let (stdout, stderr) = extract_streams(events);
+    let (status, message) = match exit {
+        ExitStatus::Exited(c) => (JobStatus::Exited(c), String::new()),
+        ExitStatus::OutOfFuel => (JobStatus::OutOfFuel, String::new()),
+        ExitStatus::Wedged => (JobStatus::Wedged, String::new()),
+        ExitStatus::FfiFailed(detail) => (JobStatus::FfiFailed, detail),
+    };
+    ExecEnd::Done(JobOutcome {
         job_id: 0,
         status,
-        message: String::new(),
+        message,
         stdout,
         stderr,
         instructions,
@@ -63,16 +67,7 @@ fn outcome(
         cached: false,
         shadowed: false,
         migrations: 0,
-    }
-}
-
-fn status_of(exit: ExitStatus) -> (JobStatus, String) {
-    match exit {
-        ExitStatus::Exited(c) => (JobStatus::Exited(c), String::new()),
-        ExitStatus::OutOfFuel => (JobStatus::OutOfFuel, String::new()),
-        ExitStatus::Wedged => (JobStatus::Wedged, String::new()),
-        ExitStatus::FfiFailed(detail) => (JobStatus::FfiFailed, detail),
-    }
+    })
 }
 
 /// Runs `state` on the reference interpreter up to `fuel` total retires
@@ -97,16 +92,12 @@ pub(crate) fn run_ref_sliced(env: &SliceEnv<'_>, mut state: State, fuel: u64) ->
             return ExecEnd::Killed(Box::new(snap));
         }
     }
-    let fuel_left = state.instructions_retired < fuel;
-    let (stdout, stderr) = extract_streams(&state.io_events);
-    let (status, message) = status_of(classify_exit(&state, env.layout, fuel_left));
-    let mut out = outcome(status, stdout, stderr, state.instructions_retired, ServeEngine::Ref);
-    out.message = message;
-    ExecEnd::Done(out)
+    let exit = classify_exit(&state, env.layout, state.instructions_retired < fuel);
+    done(exit, &state.io_events, state.instructions_retired, ServeEngine::Ref)
 }
 
-/// [`run_ref_sliced`], on the jet engine. Classification matches the
-/// reference path: same halt probe, same `EXIT_UNSET` sentinel.
+/// [`run_ref_sliced`], on the jet engine. Classification is the
+/// reference path's, through [`classify_exit_parts`].
 pub(crate) fn run_jet_sliced(env: &SliceEnv<'_>, mut j: Jet, fuel: u64) -> ExecEnd {
     loop {
         let remaining = fuel.saturating_sub(j.instructions_retired);
@@ -127,18 +118,9 @@ pub(crate) fn run_jet_sliced(env: &SliceEnv<'_>, mut j: Jet, fuel: u64) -> ExecE
         }
     }
     let fuel_left = j.instructions_retired < fuel;
-    let (stdout, stderr) = extract_streams(&j.io_events);
-    let status = if !fuel_left && !j.is_halted() {
-        JobStatus::OutOfFuel
-    } else {
-        let code = j.mem().read_word(env.layout.exit_code_addr);
-        if j.pc == env.layout.halt_addr && code != basis::image::EXIT_UNSET {
-            JobStatus::Exited(code as u8)
-        } else {
-            JobStatus::Wedged
-        }
-    };
-    ExecEnd::Done(outcome(status, stdout, stderr, j.instructions_retired, ServeEngine::Jet))
+    let code = j.mem().read_word(env.layout.exit_code_addr);
+    let exit = classify_exit_parts(j.is_halted(), j.pc, code, env.layout, fuel_left);
+    done(exit, &j.io_events, j.instructions_retired, ServeEngine::Jet)
 }
 
 /// Dispatches a fresh image or a restored checkpoint to the right

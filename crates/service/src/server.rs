@@ -171,8 +171,11 @@ struct Inner {
     /// Total rolling checkpoints captured (also the clock for the
     /// deterministic kill tripwire).
     checkpoint_seq: AtomicU64,
-    /// Stats-line sequence for the time-series bench lines.
+    /// Summary-line sequence for live `Stats`/`top` polls.
     stats_seq: AtomicU64,
+    /// Summary-line sequence for the `BENCH_service.json` file. Its own
+    /// counter, so a live poll can never take seq 0 away from the file.
+    series_seq: AtomicU64,
     /// Fault-injection tripwire for tests: when nonzero, the worker
     /// that reaches this checkpoint count "dies" (requeues its job and
     /// stops) — a deterministic stand-in for killing a worker mid-job.
@@ -245,6 +248,7 @@ impl Service {
             shadow_seq: AtomicU64::new(0),
             checkpoint_seq: AtomicU64::new(0),
             stats_seq: AtomicU64::new(0),
+            series_seq: AtomicU64::new(0),
             kill_at_checkpoint: AtomicU64::new(0),
             spawned_hwm: AtomicUsize::new(0),
             flight,
@@ -465,11 +469,17 @@ impl Service {
         }
     }
 
-    /// One time-series stats line (the `BENCH_service.json` line the
-    /// socket front end appends periodically): the service summary with
-    /// a monotonically increasing `seq` and the current in-flight count.
+    /// One live stats summary line: the service summary with a
+    /// monotonically increasing `seq` and the current in-flight count.
+    /// The `BENCH_service.json` lines carry the same fields but count
+    /// `seq` separately (see [`append_stats_line`](Service::append_stats_line)).
     #[must_use]
     pub fn stats_line(&self) -> String {
+        self.summary_line(&self.inner.stats_seq)
+    }
+
+    /// The summary line, numbered by the next value of `seq`.
+    fn summary_line(&self, seq: &AtomicU64) -> String {
         let inner = &self.inner;
         let cache = inner.cache.stats();
         // Mirror cache-internal accounting into the registry counters
@@ -500,7 +510,7 @@ impl Service {
 
         format!(
             "{{\"suite\":\"service\",\"seq\":{},\"uptime_us\":{},\"shards\":{},\"jobs\":{},\"cached\":{},\"rejected\":{},\"inflight\":{},\"qps\":{:.2},\"p50_us\":{},\"p99_us\":{},\"cache_hit_rate\":{:.4},\"evictions\":{},\"shadow_jobs\":{},\"divergences\":{},\"migrations\":{},\"checkpoints\":{}}}\n",
-            inner.stats_seq.fetch_add(1, Ordering::Relaxed),
+            seq.fetch_add(1, Ordering::Relaxed),
             uptime_us,
             self.inner.cfg.shards,
             completed,
@@ -530,28 +540,27 @@ impl Service {
     }
 
     /// Appends one time-series stats line to `path` — the periodic
-    /// `BENCH_service.json` emission.
+    /// `BENCH_service.json` emission. The file's lines number `seq`
+    /// from 0 on their own counter, whatever live polls happened.
     ///
     /// # Errors
     ///
     /// Filesystem errors.
     pub fn append_stats_line(&self, path: &std::path::Path) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        f.write_all(self.stats_line().as_bytes())
+        append(path, &self.summary_line(&self.inner.series_seq))
     }
 
-    /// Appends the final [`stats_text`](Service::stats_text) to `path`
-    /// — the shutdown tail of the `BENCH_service.json` artifact, after
-    /// the run's periodic time-series lines.
+    /// Appends a last summary line and the full metrics registry to
+    /// `path` — the shutdown tail of the `BENCH_service.json` artifact,
+    /// after (and numbered after) the run's periodic time-series lines.
     ///
     /// # Errors
     ///
     /// Filesystem errors.
     pub fn write_bench(&self, path: &std::path::Path) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        f.write_all(self.stats_text().as_bytes())
+        let mut tail = self.summary_line(&self.inner.series_seq);
+        tail.push_str(&self.inner.m.registry.json_lines());
+        append(path, &tail)
     }
 
     /// Worker slots ever spawned (indices are stable, so this is also
@@ -573,6 +582,12 @@ impl Service {
             self.inner.dump_flight("shutdown", &[]);
         }
     }
+}
+
+fn append(path: &std::path::Path, text: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+    f.write_all(text.as_bytes())
 }
 
 impl Drop for Service {

@@ -208,6 +208,29 @@ fn bench_artifact_carries_the_service_schema() {
 }
 
 #[test]
+fn bench_file_numbers_its_lines_from_zero_despite_live_polls() {
+    let path = std::env::temp_dir().join(format!("silver-svc-series-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let svc = Service::start(cfg());
+    // Live polls first, as a `stats` or `top` client racing the first
+    // periodic write would.
+    assert!(svc.stats_text().starts_with("{\"suite\":\"service\",\"seq\":0,"));
+    assert!(svc.stats_line().contains("\"seq\":1,"));
+    svc.append_stats_line(&path).expect("append");
+    svc.append_stats_line(&path).expect("append");
+    svc.shutdown();
+    svc.write_bench(&path).expect("tail");
+    let text = std::fs::read_to_string(&path).expect("bench file");
+    let _ = std::fs::remove_file(&path);
+    let seqs: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("{\"suite\":\"service\""))
+        .map(|l| l.split(',').nth(1).expect("seq field"))
+        .collect();
+    assert_eq!(seqs, ["\"seq\":0", "\"seq\":1", "\"seq\":2"], "{text}");
+}
+
+#[test]
 fn unix_socket_roundtrip_with_graceful_shutdown() {
     let dir = std::env::temp_dir().join(format!("silver-svc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");

@@ -412,7 +412,9 @@ impl Snapshot {
     /// Checkpoints the jet engine, via [`Jet::to_state`] (which writes
     /// the flat resident mirror back into sparse memory — so a jet
     /// capture of an equivalent run serialises to exactly the bytes a
-    /// reference capture does).
+    /// reference capture does). The write-back copies only the mirrored
+    /// pages stored to since the engine was built, so a capture costs
+    /// microseconds, not a scan of the whole mirror.
     #[must_use]
     pub fn capture_jet(jet: &Jet) -> Snapshot {
         Snapshot { state: jet.to_state(), engine: SnapEngine::Jet, fs: None }
